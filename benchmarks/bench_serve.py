@@ -6,9 +6,12 @@ a real :class:`~repro.serve.ServeApp` (HTTP server + scheduler + one
 worker process), measures the full submit→result wall time for a cold
 run (compile + queue + worker round trip), then resubmits the
 identical request ``CACHED_ROUNDS`` times and takes the median cache
-latency.  The gate: cached submissions must beat the cold path by
+latency.  Two gates: cached submissions must beat the cold path by
 ``CACHE_SPEEDUP_FLOOR`` — conservative, since the cold path crosses a
-process boundary and the cached one never leaves the scheduler lock.
+process boundary and the cached one never leaves the scheduler lock —
+and the cold path itself must stay under ``COLD_MS_CEIL``, so a slow
+cold path (say, an idle poll tick in the controller) cannot pass as a
+cache speed-up.
 
 The measured trajectory lands in ``BENCH_serve.json`` (cells:
 ``cold_ms``, ``cached_ms``, ``cache_speedup``) for the bench-gate
@@ -35,6 +38,10 @@ _TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_serve.json")
 #: factor (conservative: the cold path spans compile + a worker
 #: process round trip, the cached one is an in-memory lookup).
 CACHE_SPEEDUP_FLOOR = 2.0
+
+#: ceiling on the cold submit→result wall time (compile + queue +
+#: worker round trip of a ~10-event design), in milliseconds.
+COLD_MS_CEIL = 50.0
 
 CACHED_ROUNDS = 20
 
@@ -89,6 +96,9 @@ def test_serve_latency(benchmark, tmp_path):
             f"cached submit→result only {speedup:.1f}x faster than cold "
             f"(floor {CACHE_SPEEDUP_FLOOR}x): cold {cold * 1e3:.1f}ms, "
             f"cached {cached * 1e3:.1f}ms")
+        assert cold * 1e3 <= COLD_MS_CEIL, (
+            f"cold submit→result took {cold * 1e3:.1f}ms "
+            f"(ceiling {COLD_MS_CEIL}ms)")
 
         results = {
             "cold_ms": round(cold * 1e3, 3),
@@ -102,6 +112,7 @@ def test_serve_latency(benchmark, tmp_path):
             f"{'cached':>8s} {results['cached_ms']:>8.1f}ms",
             f"cache speedup {results['cache_speedup']:.1f}x "
             f"(floor {CACHE_SPEEDUP_FLOOR}x, median of {CACHED_ROUNDS})",
+            f"cold ceiling {COLD_MS_CEIL}ms",
         ])
         report_json("serve", results)
 
@@ -110,7 +121,8 @@ def test_serve_latency(benchmark, tmp_path):
                 timespec="seconds"),
             "bench": "serve",
             **results,
-            "floors": {"cache_speedup": CACHE_SPEEDUP_FLOOR},
+            "floors": {"cache_speedup": CACHE_SPEEDUP_FLOOR,
+                       "cold_ms_ceil": COLD_MS_CEIL},
         }
         trajectory = []
         if os.path.exists(_TRAJECTORY):

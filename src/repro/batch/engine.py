@@ -4,11 +4,13 @@ Controller-side flow:
 
 1. **Compile once.**  Every unique ``(source, top, defines)`` among the
    requests is parsed/elaborated/compiled exactly once, in the
-   controller.  Workers receive the *pickled program* (a pre-compile
-   design image that recompiles deterministically on unpickle — see
-   ``Program.__reduce__``), never source text, so the front end runs
-   once per design regardless of pool width or run count.
-2. **Fan out, durably.**  The controller owns a
+   controller, into a content-addressed catalog of pickled programs
+   (a pre-compile design image that recompiles deterministically on
+   unpickle — see ``Program.__reduce__``).  Workers receive an image
+   with the first run of its design they execute, never source text,
+   so the front end runs once per design regardless of pool width or
+   run count.
+2. **Fan out, durably.**  One controller (:class:`_Controller`) owns a
    :class:`~repro.batch.queue.JobQueue` and a pool of long-lived
    worker processes, one in-flight run per worker under a
    :class:`~repro.batch.queue.Lease`.  A worker death (OOM kill,
@@ -19,6 +21,10 @@ Controller-side flow:
    is escalated stall → kill → requeue.  A run that keeps failing is
    **quarantined** after ``max_attempts`` with its full per-attempt
    failure history attached, so one poison run cannot starve the pool.
+   The controller sleeps in one wait on worker results, worker deaths,
+   its timers and a self-pipe; the :mod:`repro.serve` scheduler drives
+   the same loop from a thread, adding runs to per-tenant queue lanes
+   as they arrive.
 3. **Journal.**  Scheduling events and terminal outcomes append to
    ``<out_dir>/journal.jsonl`` (``BATCHJRNL/1``, see
    :mod:`repro.batch.journal`); ``run_batch(..., resume=True)``
@@ -34,10 +40,13 @@ Controller-side flow:
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
+import socket
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
@@ -288,42 +297,37 @@ def _validate(requests: Sequence[RunRequest]) -> None:
                 "per-run status files under <out_dir>/status/ instead")
 
 
-def _compile_catalog(
-    requests: Sequence[RunRequest],
-) -> Tuple[Dict[str, bytes], Dict[str, str]]:
-    """Compile each unique design once.
+class _Catalog:
+    """Compile-once design cache: fingerprint -> pickled program image.
 
-    Returns ``(catalog, by_run)``: the fingerprint-keyed pickled
-    programs shipped to workers, and each run name's fingerprint.
+    Content-addressed by the full design key, NOT by the structural
+    ``design_fingerprint()``: structure (net table + instruction
+    counts) cannot tell apart designs that differ only in an operator
+    or a constant — exactly the shape of a mutation campaign's mutants
+    — and a collision here would silently run one design in place of
+    another.  Thread-safe: serve admission compiles in HTTP handler
+    threads.
     """
-    import hashlib
 
-    from repro.compile import compile_design
-    from repro.frontend import elaborate, parse_source
+    def __init__(self) -> None:
+        self.images: Dict[str, bytes] = {}
+        self._lock = threading.Lock()
 
-    catalog: Dict[str, bytes] = {}
-    by_key: Dict[tuple, str] = {}
-    by_run: Dict[str, str] = {}
-    for request in requests:
-        key = request.design_key()
-        fingerprint = by_key.get(key)
-        if fingerprint is None:
-            source, top, defines = key
-            # Content-address the catalog by the full design key, NOT
-            # by the structural design_fingerprint(): structure (net
-            # table + instruction counts) cannot tell apart designs
-            # that differ only in an operator or a constant — exactly
-            # the shape of a mutation campaign's mutants — and a
-            # collision here would silently run one design in place of
-            # another.
-            fingerprint = hashlib.sha256(
-                repr((source, top, defines)).encode("utf-8")).hexdigest()
-            modules = parse_source(source, defines=dict(defines) or None)
-            program = compile_design(elaborate(modules, top=top))
-            by_key[key] = fingerprint
-            catalog[fingerprint] = pickle.dumps(program)
-        by_run[request.name] = fingerprint
-    return catalog, by_run
+    def compile(self, request: RunRequest) -> str:
+        """The design fingerprint of ``request``, compiling the design
+        the first time it is seen."""
+        from repro.compile import compile_design
+        from repro.frontend import elaborate, parse_source
+
+        source, top, defines = key = request.design_key()
+        fingerprint = hashlib.sha256(
+            repr(key).encode("utf-8")).hexdigest()
+        with self._lock:
+            if fingerprint not in self.images:
+                modules = parse_source(source, defines=dict(defines) or None)
+                program = compile_design(elaborate(modules, top=top))
+                self.images[fingerprint] = pickle.dumps(program)
+        return fingerprint
 
 
 def _aggregate_metrics(result: BatchResult) -> MetricsRegistry:
@@ -423,7 +427,7 @@ class _Worker:
     """One pool slot: a process, its pipes, and its current lease."""
 
     __slots__ = ("id", "process", "task_send", "result_recv", "lease",
-                 "controller_killed")
+                 "controller_killed", "shipped")
 
     def __init__(self, worker_id: int, ctx, init_args: tuple) -> None:
         self.id = worker_id
@@ -439,6 +443,8 @@ class _Worker:
         result_send.close()
         self.lease: Optional[Lease] = None
         self.controller_killed = False
+        #: Design fingerprints whose program image this worker holds.
+        self.shipped: set = set()
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -470,31 +476,10 @@ class _WorkerPool:
             self.workers.append(worker)
 
     def idle(self) -> List[_Worker]:
+        # a worker the controller just killed may not have exited yet
         return [worker for worker in self.workers
-                if worker.lease is None and worker.alive()]
-
-    def wait(self, timeout: Optional[float]) -> List[_Worker]:
-        """Block until a worker has a result or died; returns workers
-        whose result pipe is readable (deaths are discovered by the
-        caller scanning :meth:`dead`)."""
-        objects = []
-        by_object = {}
-        for worker in self.workers:
-            objects.append(worker.result_recv)
-            by_object[worker.result_recv] = worker
-            objects.append(worker.process.sentinel)
-            by_object[worker.process.sentinel] = worker
-        if not objects:
-            if timeout:
-                time.sleep(min(timeout, 0.05))
-            return []
-        ready = _mpconn.wait(objects, timeout)
-        seen = []
-        for obj in ready:
-            worker = by_object[obj]
-            if obj is worker.result_recv and worker not in seen:
-                seen.append(worker)
-        return seen
+                if worker.lease is None and not worker.controller_killed
+                and worker.alive()]
 
     def dead(self) -> List[_Worker]:
         return [worker for worker in self.workers if not worker.alive()]
@@ -537,6 +522,250 @@ class _WorkerPool:
 # ---------------------------------------------------------------------
 # the controller
 # ---------------------------------------------------------------------
+
+
+class _Controller:
+    """The one scheduling loop behind ``run_batch`` and ``symsim serve``.
+
+    Owns a :class:`_WorkerPool` and drives a :class:`JobQueue`: it
+    dispatches ready runs to idle workers (shipping each program image
+    at most once per worker), blocks until something happens, reaps
+    results and dead workers, retries or quarantines failures through
+    :meth:`JobQueue.fail`, escalates expired leases (stall → kill →
+    requeue), watches for stalls, and respawns workers while work
+    remains.  Attempt events (``start`` / ``requeue`` /
+    ``quarantine``) go to ``journal``; each terminal
+    :class:`RunOutcome` goes to ``on_result``.
+
+    :meth:`run` blocks in one ``multiprocessing.connection.wait`` on
+    every worker's result pipe and process sentinel, a self-pipe that
+    :meth:`wake` writes to, and a timeout set by the nearest timer
+    (retry backoff, lease timeout, stall watch) — with no timer armed
+    it sleeps until a worker or a caller has news.  Callers that add
+    jobs from other threads pass the ``lock`` that guards the queue;
+    the loop holds it while it touches scheduling state and releases
+    it while it waits, and ``on_result`` runs with it held.
+    """
+
+    def __init__(self, queue: JobQueue, catalog: _Catalog, workers: int,
+                 init_args: tuple,
+                 journal: Optional[BatchJournal] = None,
+                 status_dir: Optional[str] = None,
+                 stall_after: Optional[float] = None,
+                 on_stall: Optional[Callable[[RunHealth], None]] = None,
+                 on_result: Optional[Callable[[RunOutcome], None]] = None,
+                 lock=None) -> None:
+        self.queue = queue
+        self.policy = queue.policy
+        self.catalog = catalog
+        self.pool = _WorkerPool(workers, init_args)
+        self.journal = journal
+        self.status_dir = status_dir
+        self.stall_after = stall_after
+        self.on_stall = on_stall
+        self.on_result = on_result
+        self.lock = lock if lock is not None else threading.Lock()
+        #: worker pid -> (trace shard path, shard t0) for the merge.
+        self.shards: Dict[int, Tuple[str, float]] = {}
+        #: Runs the stall watcher or the lease escalation flagged.
+        self.stalled: set = set()
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
+        self._closed = False
+        self._drain = True
+
+    def wake(self) -> None:
+        """Interrupt the loop's wait (new jobs, close)."""
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wake-up is pending) or shut down
+
+    def close(self, drain: bool = True) -> None:
+        """No more jobs will be added: :meth:`run` returns once every
+        queued run is terminal — or, with ``drain=False``, at once."""
+        self._closed = True
+        self._drain = drain
+        self.wake()
+
+    def shutdown(self) -> None:
+        """Stop the workers and release the self-pipe."""
+        self.pool.shutdown()
+        self._wake_recv.close()
+        self._wake_send.close()
+
+    def run(self) -> None:
+        ready: list = []
+        while True:
+            with self.lock:
+                if self._closed and not self._drain:
+                    return
+                self._reap(ready)
+                if self._closed and self.queue.finished():
+                    return
+                self._dispatch()
+                objects = [self._wake_recv]
+                for worker in self.pool.workers:
+                    objects += (worker.result_recv, worker.process.sentinel)
+                timeout = self._timeout()
+            ready = _mpconn.wait(objects, timeout)
+
+    def _timeout(self) -> Optional[float]:
+        timeouts = []
+        if self.stall_after is not None:
+            timeouts.append(min(self.stall_after / 2.0, 2.0))
+        if self.policy.lease_timeout is not None:
+            timeouts.append(min(self.policy.lease_timeout / 2.0, 2.0))
+        delay = self.queue.next_delay()
+        if delay is not None:
+            timeouts.append(max(delay, 0.01))
+        return min(timeouts) if timeouts else None
+
+    def _dispatch(self) -> None:
+        for worker in self.pool.idle():
+            lease = self.queue.lease(worker.id, worker.process.pid or -1)
+            if lease is None:
+                return
+            job = self.queue.job(lease.name)
+            image = None if job.fingerprint in worker.shipped \
+                else self.catalog.images[job.fingerprint]
+            try:
+                worker.task_send.send(
+                    (job.request, job.fingerprint, lease.attempt, image))
+            except (BrokenPipeError, OSError):
+                # the worker died between polls; put the run back
+                # unblamed — the death itself is reaped next iteration
+                self.queue.release(lease.name)
+                continue
+            worker.shipped.add(job.fingerprint)
+            worker.lease = lease
+            if self.journal is not None:
+                self.journal.attempt(lease.name, lease.attempt, "start",
+                                     worker_pid=lease.worker_pid)
+
+    def _reap(self, ready: list) -> None:
+        if self._wake_recv in ready:
+            try:
+                while self._wake_recv.recv(4096):
+                    pass
+            except BlockingIOError:
+                pass
+
+        # 1. results
+        for worker in list(self.pool.workers):
+            if worker.result_recv not in ready:
+                continue
+            try:
+                raw = worker.result_recv.recv()
+            except (EOFError, OSError):
+                continue  # died after readiness; reaped below
+            lease, worker.lease = worker.lease, None
+            if lease is None:
+                continue  # stray late result from an escalated lease
+            if raw.get("shard_path") is not None:
+                self.shards[raw["worker_pid"]] = (
+                    raw["shard_path"], raw["t0_unix_us"])
+            outcome = RunOutcome(
+                name=raw["name"],
+                status=SimStatus(raw["status"]),
+                result=raw["result"],
+                error=raw["error"],
+                wall_seconds=raw["wall_seconds"],
+                worker_pid=raw["worker_pid"],
+                vcd_path=raw["vcd_path"],
+                resumed_from_checkpoint=raw.get(
+                    "resumed_from_checkpoint", False),
+            )
+            if outcome.status.value in self.policy.retry_statuses:
+                self._fail(outcome.name, "status",
+                           raw["error"] or outcome.status.value,
+                           raw["worker_pid"], outcome)
+            else:
+                self._finalize(outcome)
+
+        # 2. dead workers: requeue exactly the runs they held
+        for worker in self.pool.dead():
+            lease, worker.lease = worker.lease, None
+            if lease is not None and not worker.controller_killed:
+                exitcode = worker.process.exitcode
+                self._fail(lease.name, "worker-lost",
+                           f"worker lost: pid {lease.worker_pid} died "
+                           f"(exit {exitcode}) holding attempt "
+                           f"{lease.attempt}",
+                           lease.worker_pid, None)
+            self.pool.reap(worker)
+        pending = len(self.queue.pending_names())
+        self.pool.spawn(min(self.pool.width, pending)
+                        - len(self.pool.workers))
+
+        # 3. flag-only stall watch — every iteration, never starved by
+        # a steady trickle of completions (see _watch_stalls)
+        if self.status_dir is not None and self.stall_after is not None:
+            _watch_stalls(self.status_dir, self.queue.pending_names(),
+                          self.stalled, self.stall_after, self.on_stall)
+
+        # 4. lease-timeout escalation: stall -> kill -> requeue
+        if self.policy.lease_timeout is not None:
+            self._escalate()
+
+    def _escalate(self) -> None:
+        now_unix = time.time()
+        now_mono = time.perf_counter()
+        for worker in list(self.pool.workers):
+            lease = worker.lease
+            if lease is None or not worker.alive():
+                continue
+            record = read_status(os.path.join(
+                self.status_dir, f"{lease.name}.json")) \
+                if self.status_dir is not None else None
+            health = assess_lease(
+                lease.name, lease.worker_pid,
+                lease.age(now_mono), record,
+                kill_after=self.policy.lease_timeout,
+                now_unix=now_unix,
+                started_unix=lease.started_unix)
+            if not health.expired:
+                continue
+            worker.lease = None
+            self.pool.kill(worker)
+            self.stalled.add(lease.name)
+            heartbeat = "n/a" if health.heartbeat_age is None \
+                else f"{health.heartbeat_age:.1f}s"
+            self._fail(lease.name, "stall-kill",
+                       f"lease expired after {health.lease_age:.1f}s "
+                       f"(heartbeat age {heartbeat}); "
+                       f"worker pid {lease.worker_pid} killed",
+                       lease.worker_pid, None)
+
+    def _finalize(self, outcome: RunOutcome) -> None:
+        self.queue.complete(outcome.name, outcome)
+        if self.on_result is not None:
+            self.on_result(outcome)
+
+    def _fail(self, name: str, kind: str, error: str,
+              worker_pid: Optional[int],
+              last: Optional[RunOutcome]) -> None:
+        """Route a retryable failure; quarantine on exhaustion."""
+        disposition = self.queue.fail(name, kind, error, worker_pid)
+        if disposition["action"] == "requeue":
+            if self.journal is not None:
+                self.journal.attempt(name, disposition["attempt"],
+                                     "requeue", failure_kind=kind,
+                                     error=error, worker_pid=worker_pid,
+                                     delay=disposition["delay"])
+            return
+        outcome = last if last is not None else RunOutcome(
+            name=name, status=SimStatus.ABORTED, error=error,
+            worker_pid=worker_pid)
+        outcome.quarantined = True
+        outcome.error = (f"quarantined after "
+                         f"{disposition['attempt']} attempt(s): {error}")
+        if self.journal is not None:
+            self.journal.attempt(name, disposition["attempt"], "quarantine",
+                                 failure_kind=kind, error=error,
+                                 worker_pid=worker_pid)
+        self._finalize(outcome)
 
 
 def run_batch(
@@ -602,11 +831,13 @@ def run_batch(
     status_dir = os.path.join(out_dir, "status") if heartbeat_every else None
 
     wall_start = time.perf_counter()
-    catalog, by_run = _compile_catalog(requests)
+    catalog = _Catalog()
+    by_run = {request.name: catalog.compile(request)
+              for request in requests}
     fingerprints = {request.name: request_fingerprint(request,
                                                       by_run[request.name])
                     for request in requests}
-    cat_sha = catalog_sha(catalog)
+    cat_sha = catalog_sha(catalog.images)
 
     journal_path = os.path.join(out_dir, JOURNAL_NAME) if journal else None
     restored: Dict[str, RunOutcome] = {}
@@ -622,26 +853,32 @@ def run_batch(
     elif journal:
         jrnl = BatchJournal.create(journal_path, fingerprints, cat_sha)
 
+    def finalize(outcome: RunOutcome) -> None:
+        if jrnl is not None:
+            jrnl.terminal(outcome.name, outcome.to_dict())
+        if on_result is not None:
+            on_result(outcome)
+
     queue = JobQueue(
         [(request, by_run[request.name]) for request in requests
          if request.name not in restored],
         policy)
-    shards: Dict[int, Tuple[str, float]] = {}
-    stalled_seen: set = set()
-
-    pool = _WorkerPool(
-        workers, (catalog, out_dir, trace, heartbeat_every or None))
+    controller = _Controller(
+        queue, catalog, workers, (out_dir, trace, heartbeat_every or None),
+        journal=jrnl, status_dir=status_dir, stall_after=stall_after,
+        on_stall=on_stall, on_result=finalize)
+    controller.close()  # every run is queued: run() drains them
     try:
         if not queue.finished():
             try:
-                pool.spawn(min(workers, len(queue.pending_names())))
+                controller.pool.spawn(
+                    min(workers, len(queue.pending_names())))
             except Exception as exc:  # pool start is controller-side
                 raise BatchError(
                     f"could not start worker pool: {exc}") from exc
-        _drain(pool, queue, policy, jrnl, shards, status_dir,
-               stall_after, on_stall, stalled_seen, on_result)
+        controller.run()
     finally:
-        pool.shutdown()
+        controller.shutdown()
         if jrnl is not None:
             jrnl.close()
 
@@ -652,172 +889,20 @@ def run_batch(
         out_dir=out_dir,
         workers=workers,
         wall_seconds=time.perf_counter() - wall_start,
-        designs_compiled=len(catalog),
+        designs_compiled=len(catalog.images),
         status_dir=status_dir,
-        stalled_runs=sorted(stalled_seen),
+        stalled_runs=sorted(controller.stalled),
         journal_path=journal_path,
         retries=queue.retries,
         requeued=queue.requeued,
         quarantined_runs=sorted(queue.quarantined),
         resumed_runs=sorted(restored),
     )
-    if shards:
+    if controller.shards:
         result.trace_path = os.path.join(out_dir, "trace.json")
-        merge_shards(shards, result.trace_path)
+        merge_shards(controller.shards, result.trace_path)
     _aggregate_metrics(result)
     if write_metrics:
         result.metrics_path = os.path.join(out_dir, "metrics.json")
         result.metrics.write_json(result.metrics_path)
     return result
-
-
-def _drain(pool: _WorkerPool, queue: JobQueue, policy: RetryPolicy,
-           jrnl: Optional[BatchJournal],
-           shards: Dict[int, Tuple[str, float]],
-           status_dir: Optional[str],
-           stall_after: Optional[float],
-           on_stall: Optional[Callable[[RunHealth], None]],
-           stalled_seen: set,
-           on_result: Optional[Callable[[RunOutcome], None]]) -> None:
-    """The scheduling loop: dispatch, wait, reap, retry, escalate."""
-
-    def finalize(outcome: RunOutcome) -> None:
-        queue.complete(outcome.name, outcome)
-        if jrnl is not None:
-            jrnl.terminal(outcome.name, outcome.to_dict())
-        if on_result is not None:
-            on_result(outcome)
-
-    def fail(name: str, kind: str, error: str,
-             worker_pid: Optional[int],
-             last: Optional[RunOutcome]) -> None:
-        """Route a retryable failure; quarantine on exhaustion."""
-        disposition = queue.fail(name, kind, error, worker_pid)
-        if disposition["action"] == "requeue":
-            if jrnl is not None:
-                jrnl.attempt(name, disposition["attempt"], "requeue",
-                             failure_kind=kind, error=error,
-                             worker_pid=worker_pid,
-                             delay=disposition["delay"])
-            return
-        outcome = last if last is not None else RunOutcome(
-            name=name, status=SimStatus.ABORTED, error=error,
-            worker_pid=worker_pid)
-        outcome.quarantined = True
-        outcome.error = (f"quarantined after "
-                         f"{disposition['attempt']} attempt(s): {error}")
-        if jrnl is not None:
-            jrnl.attempt(name, disposition["attempt"], "quarantine",
-                         failure_kind=kind, error=error,
-                         worker_pid=worker_pid)
-        finalize(outcome)
-
-    while not queue.finished():
-        # 1. dispatch ready runs to idle workers
-        for worker in pool.idle():
-            if not queue.has_ready():
-                break
-            lease = queue.lease(worker.id, worker.process.pid or -1)
-            job = queue.job(lease.name)
-            try:
-                worker.task_send.send(
-                    (job.request, job.fingerprint, lease.attempt))
-            except (BrokenPipeError, OSError):
-                # the worker died between polls; put the run back
-                # unblamed — the death itself is handled below
-                queue.release(lease.name)
-                continue
-            worker.lease = lease
-            if jrnl is not None:
-                jrnl.attempt(lease.name, lease.attempt, "start",
-                             worker_pid=lease.worker_pid)
-
-        # 2. wait for results / deaths / timers
-        timeouts = []
-        if stall_after is not None:
-            timeouts.append(min(stall_after / 2.0, 2.0))
-        if policy.lease_timeout is not None:
-            timeouts.append(min(policy.lease_timeout / 2.0, 2.0))
-        delay = queue.next_delay()
-        if delay is not None:
-            timeouts.append(max(delay, 0.01))
-        timeout = min(timeouts) if timeouts else None
-        for worker in pool.wait(timeout):
-            try:
-                raw = worker.result_recv.recv()
-            except (EOFError, OSError):
-                continue  # died after readiness; reaped below
-            lease, worker.lease = worker.lease, None
-            if lease is None:
-                continue  # stray late result from an escalated lease
-            if raw.get("shard_path") is not None:
-                shards[raw["worker_pid"]] = (
-                    raw["shard_path"], raw["t0_unix_us"])
-            outcome = RunOutcome(
-                name=raw["name"],
-                status=SimStatus(raw["status"]),
-                result=raw["result"],
-                error=raw["error"],
-                wall_seconds=raw["wall_seconds"],
-                worker_pid=raw["worker_pid"],
-                vcd_path=raw["vcd_path"],
-                attempts=lease.attempt,
-                resumed_from_checkpoint=raw.get(
-                    "resumed_from_checkpoint", False),
-            )
-            if outcome.status.value in policy.retry_statuses:
-                fail(outcome.name, "status",
-                     raw["error"] or outcome.status.value,
-                     raw["worker_pid"], outcome)
-            else:
-                finalize(outcome)
-
-        # 3. reap dead workers: requeue exactly the runs they held
-        for worker in pool.dead():
-            lease, worker.lease = worker.lease, None
-            if lease is not None and not worker.controller_killed:
-                exitcode = worker.process.exitcode
-                fail(lease.name, "worker-lost",
-                     f"worker lost: pid {lease.worker_pid} died "
-                     f"(exit {exitcode}) holding attempt {lease.attempt}",
-                     lease.worker_pid, None)
-            pool.reap(worker)
-        if not queue.finished():
-            pending = len(queue.pending_names())
-            if len(pool.workers) < min(pool.width, pending):
-                pool.spawn(min(pool.width, pending) - len(pool.workers))
-
-        # 4. flag-only stall watch — every iteration, never starved by
-        # a steady trickle of completions (see _watch_stalls)
-        if status_dir is not None and stall_after is not None:
-            _watch_stalls(status_dir, queue.pending_names(),
-                          stalled_seen, stall_after, on_stall)
-
-        # 5. lease-timeout escalation: stall -> kill -> requeue
-        if policy.lease_timeout is not None:
-            now_unix = time.time()
-            now_mono = time.perf_counter()
-            for worker in list(pool.workers):
-                lease = worker.lease
-                if lease is None or not worker.alive():
-                    continue
-                record = read_status(os.path.join(
-                    status_dir, f"{lease.name}.json")) \
-                    if status_dir is not None else None
-                health = assess_lease(
-                    lease.name, lease.worker_pid,
-                    lease.age(now_mono), record,
-                    kill_after=policy.lease_timeout,
-                    now_unix=now_unix,
-                    started_unix=lease.started_unix)
-                if not health.expired:
-                    continue
-                worker.lease = None
-                pool.kill(worker)
-                stalled_seen.add(lease.name)
-                fail(lease.name, "stall-kill",
-                     f"lease expired after {health.lease_age:.1f}s "
-                     f"(heartbeat age "
-                     f"{'n/a' if health.heartbeat_age is None else f'{health.heartbeat_age:.1f}s'}); "
-                     f"worker pid {lease.worker_pid} killed",
-                     lease.worker_pid, None)

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional
 
-from repro.api import OPERATIONAL_OPTIONS, semantic_options
+from repro.api import semantic_options
 from repro.errors import BatchError
 
 #: Journal format tag (header ``schema`` field).
@@ -51,11 +50,6 @@ JOURNAL_SCHEMA = "BATCHJRNL/1"
 
 #: File name under the batch ``out_dir``.
 JOURNAL_NAME = "journal.jsonl"
-
-#: Compatibility alias — the semantic/operational option split now
-#: lives in :mod:`repro.api` (:data:`repro.api.OPERATIONAL_OPTIONS`),
-#: shared with the serve result cache.
-_OPERATIONAL_OPTIONS = OPERATIONAL_OPTIONS
 
 
 def request_fingerprint(request, design_fingerprint: str) -> str:

@@ -4,7 +4,7 @@ The durable half of the batch engine's brain.  Every run lives in
 exactly one place at any moment:
 
 ``ready``
-    queued, eligible to be handed to the next idle worker;
+    queued in its lane, eligible to be handed to the next idle worker;
 ``delayed``
     queued but serving a retry backoff — becomes ready when its
     ``not_before`` deadline passes;
@@ -24,6 +24,14 @@ exponential backoff and deterministic seeded jitter** until
 poison run (one that kills every worker that touches it) costs the
 batch ``max_attempts`` workers, not the world.
 
+Ready runs wait in per-key FIFO **lanes** drained round-robin, and a
+``lane_cap`` may bound how many runs each lane has leased at once.
+A batch uses one uncapped lane, which is plain FIFO; the serve front
+door uses one lane per tenant capped at the tenant's
+``max_in_flight``, so a tenant's burst delays only its own lane.
+Runs may be added after construction (:meth:`JobQueue.add`) and
+queued ones cancelled (:meth:`JobQueue.cancel`).
+
 Nothing in this module touches processes, files or clocks beyond the
 monotonic timestamps handed in by the engine — it is a pure scheduling
 data structure, unit-testable without a pool.
@@ -34,9 +42,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BatchError
 
@@ -147,21 +155,33 @@ class _Job:
 
     request: object
     fingerprint: str
+    #: Key of the ready lane the run queues in.
+    lane: str = ""
     #: Attempt number the *next* dispatch will carry (1-based).
     attempt: int = 1
     history: List[dict] = field(default_factory=list)
+    #: True while a worker holds the run under a lease.
+    leased: bool = False
 
 
 class JobQueue:
     """The engine's run scheduler.  See the module docstring."""
 
-    def __init__(self, jobs: Sequence[Tuple[object, str]],
-                 policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, jobs: Sequence[Tuple[object, str]] = (),
+                 policy: Optional[RetryPolicy] = None,
+                 lane_cap: Optional[Callable[[str], Optional[int]]] = None
+                 ) -> None:
         self.policy = policy or RetryPolicy()
+        #: lane key -> most runs that lane may have leased at once
+        #: (None = unlimited).
+        self._lane_cap = lane_cap or (lambda lane: None)
+        #: Every non-terminal run (ready, delayed, or leased).
         self._jobs: Dict[str, _Job] = {}
-        self._ready: deque = deque()
+        #: lane key -> FIFO of ready run names; dict order is the
+        #: round-robin order (a lane moves to the back when served).
+        self._lanes: Dict[str, deque] = {}
+        self._in_flight: Counter = Counter()
         self._delayed: List[Tuple[float, str]] = []  # (ready_mono, name)
-        self.leases: Dict[str, Lease] = {}
         #: Terminal name -> RunOutcome, set by complete()/quarantine.
         self.outcomes: Dict[str, object] = {}
         #: Attempts beyond the first that were actually dispatched.
@@ -171,24 +191,43 @@ class JobQueue:
         #: Names quarantined after exhausting max_attempts.
         self.quarantined: List[str] = []
         for request, fingerprint in jobs:
-            name = request.name
-            self._jobs[name] = _Job(request=request, fingerprint=fingerprint)
-            self._ready.append(name)
+            self.add(request, fingerprint)
+
+    def add(self, request, fingerprint: str, lane: str = "") -> None:
+        """Queue a new run at the back of ``lane``."""
+        self._jobs[request.name] = _Job(request=request,
+                                        fingerprint=fingerprint, lane=lane)
+        self._lanes.setdefault(lane, deque()).append(request.name)
+
+    def cancel(self, name: str) -> bool:
+        """Drop a queued (ready or delayed) run; False when it is leased
+        or unknown."""
+        job = self._jobs.get(name)
+        if job is None or job.leased:
+            return False
+        del self._jobs[name]
+        if name in self._lanes[job.lane]:
+            self._lanes[job.lane].remove(name)
+        else:
+            self._delayed = [entry for entry in self._delayed
+                             if entry[1] != name]
+            heapq.heapify(self._delayed)
+        return True
 
     # ------------------------------------------------------------------
     # state inspection
 
     def finished(self) -> bool:
         """True when every run holds a terminal outcome."""
-        return len(self.outcomes) == len(self._jobs)
+        return not self._jobs
 
     def has_ready(self, now_mono: Optional[float] = None) -> bool:
         self._promote(now_mono)
-        return bool(self._ready)
+        return self._next_lane() is not None
 
     def pending_names(self) -> List[str]:
         """Every non-terminal run (ready, delayed, or leased)."""
-        return [name for name in self._jobs if name not in self.outcomes]
+        return list(self._jobs)
 
     def next_delay(self, now_mono: Optional[float] = None
                    ) -> Optional[float]:
@@ -207,7 +246,16 @@ class JobQueue:
             now_mono = time.perf_counter()
         while self._delayed and self._delayed[0][0] <= now_mono:
             _, name = heapq.heappop(self._delayed)
-            self._ready.append(name)
+            self._lanes[self._jobs[name].lane].append(name)
+
+    def _next_lane(self) -> Optional[str]:
+        """The first lane in round-robin order with a ready run and a
+        free slot under its cap."""
+        for lane, ready in self._lanes.items():
+            cap = self._lane_cap(lane)
+            if ready and (cap is None or self._in_flight[lane] < cap):
+                return lane
+        return None
 
     # ------------------------------------------------------------------
     # dispatch / completion
@@ -216,34 +264,42 @@ class JobQueue:
               now_mono: Optional[float] = None) -> Optional[Lease]:
         """Hand the next ready run to a worker; None when none is due."""
         self._promote(now_mono)
-        if not self._ready:
+        lane = self._next_lane()
+        if lane is None:
             return None
-        name = self._ready.popleft()
+        name = self._lanes[lane].popleft()
+        self._lanes[lane] = self._lanes.pop(lane)  # served: to the back
+        self._in_flight[lane] += 1
         job = self._jobs[name]
-        lease = Lease(name=name, attempt=job.attempt,
-                      worker_id=worker_id, worker_pid=worker_pid)
-        self.leases[name] = lease
+        job.leased = True
         if job.attempt > 1:
             self.retries += 1
-        return lease
+        return Lease(name=name, attempt=job.attempt,
+                     worker_id=worker_id, worker_pid=worker_pid)
 
     def job(self, name: str) -> _Job:
         return self._jobs[name]
 
+    def _unlease(self, job: _Job) -> None:
+        if job.leased:
+            job.leased = False
+            self._in_flight[job.lane] -= 1
+
     def release(self, name: str) -> None:
-        """Return a leased run to the front of the ready queue unblamed.
+        """Return a leased run to the front of its lane unblamed.
 
         Used when a dispatch fails before the worker ever saw the job
         (its pipe was already closed) — the attempt did not happen, so
         no history is recorded and the attempt counter stays put.
         """
-        self.leases.pop(name, None)
-        self._ready.appendleft(name)
+        job = self._jobs[name]
+        self._unlease(job)
+        self._lanes[job.lane].appendleft(name)
 
     def complete(self, name: str, outcome) -> None:
         """Record a terminal outcome (success or unretried failure)."""
-        self.leases.pop(name, None)
-        job = self._jobs[name]
+        job = self._jobs.pop(name)
+        self._unlease(job)
         outcome.attempts = job.attempt
         outcome.failure_history = list(job.history)
         self.outcomes[name] = outcome
@@ -261,8 +317,8 @@ class JobQueue:
         before calling — by the time a failure lands here it *is*
         retryable or terminal-by-exhaustion).
         """
-        self.leases.pop(name, None)
         job = self._jobs[name]
+        self._unlease(job)
         failed_attempt = job.attempt
         job.history.append({
             "attempt": failed_attempt, "kind": kind, "error": error,
@@ -279,6 +335,6 @@ class JobQueue:
             heapq.heappush(self._delayed,
                            (time.perf_counter() + delay, name))
         else:
-            self._ready.append(name)
+            self._lanes[job.lane].append(name)
         return {"action": "requeue", "attempt": job.attempt,
                 "delay": round(delay, 6)}

@@ -5,7 +5,8 @@ Boots real :class:`ServeApp` instances (stdlib HTTP server + scheduler
 multi-tenant submission, quota rejection (429 + ``Retry-After``),
 result-cache dedup (byte-identical payloads, operational-change hits
 vs semantic-change misses), malformed-request 400s, and graceful
-shutdown draining to a ``SERVEJRNL/1`` journal.
+shutdown draining to a ``SERVEJRNL/2`` journal, and lease-timeout
+escalation of a wedged run.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import urllib.request
 
 import pytest
 
+from repro.batch import RetryPolicy
 from repro.serve import (
     SERVE_JOURNAL_SCHEMA, Scheduler, ServeConfig, ServeUnavailable,
     TenantQuota, serve_app,
 )
+
+from tests.integration.test_batch_durable import WEDGE
 
 OK_SOURCE = """
 module t;
@@ -341,6 +345,29 @@ def test_close_drains_to_journal(tmp_path):
     assert set(fates) == set(submitted)
     assert all(kind in ("terminal", "cancelled")
                for kind in fates.values())
+
+
+def test_lease_timeout_quarantines_wedged_run(tmp_path):
+    """stall -> kill -> requeue in serve too: a wedged submission burns
+    its attempts on lease-timeout kills and ends quarantined."""
+    policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
+                         lease_timeout=0.75)
+    scheduler = Scheduler(ServeConfig(out_dir=str(tmp_path),
+                                      retry=policy)).start()
+    try:
+        rid = scheduler.submit({"source": WEDGE})["id"]
+        assert scheduler.wait_done(rid, timeout=30.0)
+        state, payload, _ = scheduler.result_bytes(rid)
+        outcome = json.loads(payload)
+        assert state == "done" and outcome["quarantined"] is True
+        assert [h["kind"] for h in outcome["failure_history"]] == \
+            ["stall-kill", "stall-kill"]
+    finally:
+        scheduler.close()
+    with open(tmp_path / "serve.jsonl", encoding="utf-8") as handle:
+        events = [record["event"] for record in map(json.loads, handle)
+                  if record["kind"] == "attempt"]
+    assert events == ["start", "requeue", "start", "quarantine"]
 
 
 def test_closed_scheduler_rejects_submissions(tmp_path):

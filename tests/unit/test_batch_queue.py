@@ -164,3 +164,78 @@ class TestJobQueue:
         assert lease.attempt == 1
         assert queue.job("a").history == []
         assert queue.retries == 0 and queue.requeued == 0
+
+
+# ---------------------------------------------------------------------------
+# lanes: round-robin fairness, per-lane caps, late adds, cancellation
+
+
+def _drain_order(queue):
+    order = []
+    while True:
+        lease = queue.lease(0, 1)
+        if lease is None:
+            return order
+        order.append(lease.name)
+
+
+class TestLanes:
+    def test_single_uncapped_lane_is_fifo(self):
+        queue = _queue(("a", "b", "c", "d"))
+        assert _drain_order(queue) == ["a", "b", "c", "d"]
+
+    def test_lanes_drain_round_robin(self):
+        queue = JobQueue(policy=RetryPolicy())
+        for name in ("a1", "a2", "a3"):
+            queue.add(_Req(name), "fp", lane="alice")
+        for name in ("b1", "b2"):
+            queue.add(_Req(name), "fp", lane="bob")
+        queue.add(_Req("c1"), "fp", lane="carol")
+        assert _drain_order(queue) == ["a1", "b1", "c1", "a2", "b2", "a3"]
+
+    def test_lane_cap_holds_while_other_lanes_dispatch(self):
+        queue = JobQueue(policy=RetryPolicy(),
+                         lane_cap={"alice": 1}.get)
+        for name in ("a1", "a2", "a3"):
+            queue.add(_Req(name), "fp", lane="alice")
+        for name in ("b1", "b2"):
+            queue.add(_Req(name), "fp", lane="bob")
+        # alice holds one slot; bob (uncapped) takes the rest
+        assert _drain_order(queue) == ["a1", "b1", "b2"]
+        assert not queue.has_ready()
+        # freeing alice's slot releases her next run, and only that one
+        queue.complete("a1", _Req("a1"))
+        assert _drain_order(queue) == ["a2"]
+        # a failed attempt frees the slot too
+        queue.fail("a2", "worker-lost", "x")
+        assert _drain_order(queue) == ["a3"]
+
+    def test_jobs_added_after_construction(self):
+        queue = _queue(("a",))
+        assert queue.lease(0, 1).name == "a"
+        assert queue.lease(0, 1) is None
+        queue.add(_Req("late"), "fp-late")
+        assert not queue.finished()
+        lease = queue.lease(0, 1)
+        assert lease.name == "late" and lease.attempt == 1
+        assert queue.job("late").fingerprint == "fp-late"
+        queue.complete("a", _Req("a"))
+        queue.complete("late", _Req("late"))
+        assert queue.finished()
+
+    def test_cancel_queued_job(self):
+        queue = _queue(("a", "b", "c"), backoff_base=30.0)
+        assert queue.cancel("b")
+        assert queue.pending_names() == ["a", "c"]
+        # a leased run cannot be cancelled; an unknown one is a no-op
+        assert queue.lease(0, 1).name == "a"
+        assert not queue.cancel("a")
+        assert not queue.cancel("nope")
+        # a run serving a retry backoff is queued too
+        queue.fail("a", "worker-lost", "x")
+        assert queue.next_delay() is not None
+        assert queue.cancel("a")
+        assert queue.next_delay() is None
+        assert _drain_order(queue) == ["c"]
+        queue.complete("c", _Req("c"))
+        assert queue.finished()

@@ -4,7 +4,8 @@ Not a paper table — these pin the cost of the primitive operations the
 whole simulator is built from, so performance regressions in the BDD
 layer are caught before they show up as mysterious Table-1 slowdowns.
 The paper's simulator used CUDD; these numbers document what the
-pure-Python substitute costs.
+substitute costs on whichever core ``BddManager`` runs (the native
+kernel, or the pure-Python reference core without cffi).
 """
 
 from __future__ import annotations

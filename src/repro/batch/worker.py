@@ -43,11 +43,13 @@ CI lane (docs/ROBUSTNESS.md).
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import pickle
 import signal
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Dict, Optional
 
 from repro.obs import Observability, Tracer
@@ -100,14 +102,23 @@ def _worker_main(task_conn, result_conn, out_dir: str, trace: bool,
     """Entry point of one pool worker process.
 
     Receives ``(request, fingerprint, attempt, image)`` tuples until the
-    controller sends ``None`` (or closes the pipe).  :func:`_run_job`
+    controller sends ``None``, closes the pipe or dies.  :func:`_run_job`
     never raises, so the loop only exits on shutdown — or dies abruptly
     (OOM kill, segfault, chaos), which the controller observes through
     the process sentinel and converts into a lease requeue.
+
+    A ``kill -9``'d controller closes nothing this loop could notice:
+    every forked worker inherits write ends of the task pipes, its own
+    included, so ``recv`` would never see EOF.  The loop therefore also
+    waits on the parent process's sentinel and exits when it fires.
     """
+    parent = multiprocessing.parent_process()
+    watched = [task_conn] if parent is None else [task_conn, parent.sentinel]
     try:
         _worker_init(out_dir, trace, heartbeat_every)
         while True:
+            if parent is not None and parent.sentinel in wait(watched):
+                break  # the controller is gone
             try:
                 job = task_conn.recv()
             except (EOFError, OSError):

@@ -8,6 +8,14 @@ sharing, two nodes represent the same Boolean function iff their ids
 are equal — the property the simulator relies on to detect dead
 execution paths (``control == FALSE``) in O(1).
 
+The arena, the unique table and the ite/not/and/or/xor recursions live
+in the manager's *core*: the native kernel (``_kernel.c``, built with
+cffi) when it is available, else the pure-Python reference core
+(:mod:`repro.bdd._pycore`).  Both create the same nodes in the same
+order; everything in this module reads the arena only through the
+core's per-node accessors or its bulk ``export``/``load``, so the
+arena format is private to :mod:`repro.bdd`.
+
 The manager deliberately avoids *reference counting*: symbolic
 simulation creates and drops huge numbers of intermediate functions,
 and per-operation count maintenance in pure Python costs more than it
@@ -44,12 +52,24 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.bdd import _kernel
+from repro.bdd._pycore import COUNTERS, FALSE, TRUE, PyCore
 from repro.errors import BddError
 
-FALSE = 0
-TRUE = 1
 
-_TERMINAL_LEVEL = 1 << 30
+def _new_core():
+    """The core of a new manager: the native kernel when it can be
+    loaded, else the reference core.  Tests replace this function to
+    run on a chosen core."""
+    module, _ = _kernel.native()
+    return PyCore() if module is None else _kernel.CCore(module)
+
+
+def _fail(code: int):
+    """Raise for a negative native-kernel return code."""
+    if code == -1:
+        raise MemoryError("BDD kernel out of memory")
+    raise BddError("not a node of this manager")
 
 
 class BddRef:
@@ -94,42 +114,15 @@ class BddManager:
     """
 
     def __init__(self) -> None:
-        # Parallel node arrays; slots 0/1 are placeholders for terminals.
-        self._level: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
-        self._low: List[int] = [0, 0]
-        self._high: List[int] = [0, 0]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._not_cache: Dict[int, int] = {}
-        # Specialized apply layer: and/or/xor run dedicated binary
-        # recursions with their own (smaller-keyed, commutatively
-        # canonicalized) computed tables instead of routing through the
-        # generic ite triple.
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._or_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # Arena, unique table, computed tables and their hit/miss
+        # counters (see repro.bdd._pycore for the interface).
+        self._core = _new_core()
         # Interned constant FourVecs (terminal rails only, so entries
         # stay valid across GC and reordering).  Owned here because the
         # vector layer has no per-manager state of its own.
         self._const_vec_cache: Dict[Tuple[int, int, bool], object] = {}
         self._var_names: List[str] = []
         self._var_bdds: List[int] = []
-        # Cache instrumentation (repro.obs).  Misses are derived for
-        # free: every miss inserts exactly one computed-table entry and
-        # the table only shrinks on reorder(), where the length is
-        # folded into the epoch base.  Only hits pay an increment, and
-        # only on the cache fast path; terminal shortcuts that never
-        # consult a cache are counted by neither side.
-        self._ite_hits = 0
-        self._ite_miss_base = 0
-        self._not_hits = 0
-        self._not_miss_base = 0
-        self._and_hits = 0
-        self._and_miss_base = 0
-        self._or_hits = 0
-        self._or_miss_base = 0
-        self._xor_hits = 0
-        self._xor_miss_base = 0
         # --- word-level fast-path telemetry (repro.fourval.ops) -------
         # The four-valued operator layer dispatches to pure-integer
         # word-level implementations when operands are fully
@@ -206,7 +199,12 @@ class BddManager:
 
     def level_of(self, node: int) -> int:
         """Return the level (order position) of ``node``'s top variable."""
-        return self._level[node]
+        return self._core.level(node)
+
+    @property
+    def kernel(self) -> str:
+        """Which core runs this manager: ``"c"`` or ``"python"``."""
+        return self._core.kind
 
     # ------------------------------------------------------------------
     # node construction
@@ -214,16 +212,9 @@ class BddManager:
 
     def _mk(self, level: int, low: int, high: int) -> int:
         """Find-or-create the node ``(level, low, high)`` (reduced)."""
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is None:
-            node = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-            self._unique[key] = node
+        node = self._core.mk(level, low, high)
+        if node < 0:
+            _fail(node)
         return node
 
     def cofactors(self, node: int, level: int) -> Tuple[int, int]:
@@ -231,8 +222,9 @@ class BddManager:
 
         ``level`` must not be below ``node``'s top level.
         """
-        if self._level[node] == level:
-            return self._low[node], self._high[node]
+        core = self._core
+        if core.level(node) == level:
+            return core.low(node), core.high(node)
         return node, node
 
     # ------------------------------------------------------------------
@@ -273,220 +265,19 @@ class BddManager:
             return self.or_(f, h)
         if h == FALSE:
             return self.and_(f, g)
-        cache = self._ite_cache
-        key = (f, g, h)
-        cached = cache.get(key)
-        if cached is not None:
-            self._ite_hits += 1
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        results: List[int] = []
-        # Frames: (0, f, g, h) expands a triple; (1, key, top) builds a
-        # node from the two results produced by its cofactor frames.
-        # The high cofactor is pushed *below* the low one so the build
-        # frame pops r1 then r0.
-        stack: List[Tuple[int, ...]] = [(0, f, g, h)]
-        while stack:
-            frame = stack.pop()
-            if frame[0] == 0:
-                _, f, g, h = frame
-                if f == TRUE:
-                    results.append(g)
-                    continue
-                if f == FALSE:
-                    results.append(h)
-                    continue
-                if g == h:
-                    results.append(g)
-                    continue
-                if g == f:
-                    g = TRUE
-                if h == f:
-                    h = FALSE
-                if g == TRUE:
-                    results.append(f if h == FALSE else self.or_(f, h))
-                    continue
-                if h == FALSE:
-                    results.append(self.and_(f, g))
-                    continue
-                key = (f, g, h)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._ite_hits += 1
-                    results.append(cached)
-                    continue
-                lf, lg, lh = levels[f], levels[g], levels[h]
-                top = lf if lf < lg else lg
-                if lh < top:
-                    top = lh
-                if lf == top:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                if lh == top:
-                    h0, h1 = lows[h], highs[h]
-                else:
-                    h0 = h1 = h
-                stack.append((1, key, top))
-                stack.append((0, f1, g1, h1))
-                stack.append((0, f0, g0, h0))
-            else:
-                _, key, top = frame
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (top, r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(top)
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[key] = result
-                results.append(result)
-        return results[0]
+        node = self._core.ite(f, g, h)
+        if node < 0:
+            _fail(node)
+        return node
 
     def not_(self, f: int) -> int:
         """Boolean complement (explicit stack; cached both directions)."""
         if f <= TRUE:
             return f ^ 1
-        cache = self._not_cache
-        cached = cache.get(f)
-        if cached is not None:
-            self._not_hits += 1
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        results: List[int] = []
-        stack: List[Tuple[int, int]] = [(0, f)]
-        while stack:
-            tag, node = stack.pop()
-            if tag == 0:
-                if node <= TRUE:
-                    results.append(node ^ 1)
-                    continue
-                cached = cache.get(node)
-                if cached is not None:
-                    self._not_hits += 1
-                    results.append(cached)
-                    continue
-                stack.append((1, node))
-                stack.append((0, highs[node]))
-                stack.append((0, lows[node]))
-            else:
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (levels[node], r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(levels[node])
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[node] = result
-                cache[result] = node
-                results.append(result)
-        return results[0]
-
-    def _apply2(self, op: int, cache: Dict[Tuple[int, int], int],
-                f: int, g: int) -> int:
-        """Dedicated binary apply recursion for and/or/xor.
-
-        Explicit-stack post-order walk; operands are kept sorted at
-        every step so the computed table is commutatively canonical.
-        Terminal short-circuits never touch the cache.  Callers handle
-        the top-level terminal cases; ``f``/``g`` here are internal
-        nodes with ``f < g``.
-        """
-        hits = 0
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        not_ = self.not_
-        results: List[int] = []
-        stack: List[Tuple[int, ...]] = [(0, f, g)]
-        while stack:
-            frame = stack.pop()
-            if frame[0] == 0:
-                _, f, g = frame
-                if f > g:
-                    f, g = g, f
-                # f <= g, so a terminal g implies a terminal f: the
-                # f-checks below cover every terminal case.
-                if f == FALSE:
-                    results.append(FALSE if op == 0 else g)
-                    continue
-                if f == TRUE:
-                    if op == 0:
-                        results.append(g)
-                    elif op == 1:
-                        results.append(TRUE)
-                    else:
-                        results.append(not_(g))
-                    continue
-                if f == g:
-                    results.append(FALSE if op == 2 else g)
-                    continue
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    hits += 1
-                    results.append(cached)
-                    continue
-                lf, lg = levels[f], levels[g]
-                top = lf if lf < lg else lg
-                if lf == top:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                stack.append((1, key, top))
-                stack.append((0, f1, g1))
-                stack.append((0, f0, g0))
-            else:
-                _, key, top = frame
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (top, r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(top)
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[key] = result
-                results.append(result)
-        if op == 0:
-            self._and_hits += hits
-        elif op == 1:
-            self._or_hits += hits
-        else:
-            self._xor_hits += hits
-        return results[0]
+        node = self._core.not_(f)
+        if node < 0:
+            _fail(node)
+        return node
 
     def and_(self, f: int, g: int) -> int:
         """Conjunction — dedicated apply (operands sorted, own cache)."""
@@ -496,11 +287,10 @@ class BddManager:
             return FALSE
         if f == TRUE or f == g:
             return g
-        cached = self._and_cache.get((f, g))
-        if cached is not None:
-            self._and_hits += 1
-            return cached
-        return self._apply2(0, self._and_cache, f, g)
+        node = self._core.and_(f, g)
+        if node < 0:
+            _fail(node)
+        return node
 
     def or_(self, f: int, g: int) -> int:
         """Disjunction — dedicated apply (operands sorted, own cache)."""
@@ -510,11 +300,10 @@ class BddManager:
             return g
         if f == TRUE:
             return TRUE
-        cached = self._or_cache.get((f, g))
-        if cached is not None:
-            self._or_hits += 1
-            return cached
-        return self._apply2(1, self._or_cache, f, g)
+        node = self._core.or_(f, g)
+        if node < 0:
+            _fail(node)
+        return node
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or — dedicated apply (operands sorted, own cache)."""
@@ -526,11 +315,10 @@ class BddManager:
             return FALSE
         if f == TRUE:
             return self.not_(g)
-        cached = self._xor_cache.get((f, g))
-        if cached is not None:
-            self._xor_hits += 1
-            return cached
-        return self._apply2(2, self._xor_cache, f, g)
+        node = self._core.xor(f, g)
+        if node < 0:
+            _fail(node)
+        return node
 
     def xnor(self, f: int, g: int) -> int:
         """Equivalence (complement of the shared xor cache entry)."""
@@ -612,17 +400,18 @@ class BddManager:
     def _restrict(
         self, f: int, level: int, value: bool, memo: Dict[int, int]
     ) -> int:
-        node_level = self._level[f]
+        core = self._core
+        node_level = core.level(f)
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self._high[f] if value else self._low[f]
+            result = core.high(f) if value else core.low(f)
         else:
-            low = self._restrict(self._low[f], level, value, memo)
-            high = self._restrict(self._high[f], level, value, memo)
+            low = self._restrict(core.low(f), level, value, memo)
+            high = self._restrict(core.high(f), level, value, memo)
             result = self._mk(node_level, low, high)
         memo[f] = result
         return result
@@ -641,16 +430,17 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self._level[f]
+        core = self._core
+        level = core.level(f)
         value = assignment.get(level)
         if value is None:
-            low = self._restrict_many(self._low[f], assignment, memo)
-            high = self._restrict_many(self._high[f], assignment, memo)
+            low = self._restrict_many(core.low(f), assignment, memo)
+            high = self._restrict_many(core.high(f), assignment, memo)
             result = self._mk(level, low, high)
         elif value:
-            result = self._restrict_many(self._high[f], assignment, memo)
+            result = self._restrict_many(core.high(f), assignment, memo)
         else:
-            result = self._restrict_many(self._low[f], assignment, memo)
+            result = self._restrict_many(core.low(f), assignment, memo)
         memo[f] = result
         return result
 
@@ -659,17 +449,18 @@ class BddManager:
         return self._compose(f, level, g, {})
 
     def _compose(self, f: int, level: int, g: int, memo: Dict[int, int]) -> int:
-        node_level = self._level[f]
+        core = self._core
+        node_level = core.level(f)
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self.ite(g, self._high[f], self._low[f])
+            result = self.ite(g, core.high(f), core.low(f))
         else:
-            low = self._compose(self._low[f], level, g, memo)
-            high = self._compose(self._high[f], level, g, memo)
+            low = self._compose(core.low(f), level, g, memo)
+            high = self._compose(core.high(f), level, g, memo)
             result = self.ite(self.var(node_level), high, low)
         memo[f] = result
         return result
@@ -687,9 +478,10 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self._level[f]
-        low = self._exists(self._low[f], levels, memo)
-        high = self._exists(self._high[f], levels, memo)
+        core = self._core
+        level = core.level(f)
+        low = self._exists(core.low(f), levels, memo)
+        high = self._exists(core.high(f), levels, memo)
         if level in levels:
             result = self.or_(low, high)
         else:
@@ -712,11 +504,12 @@ class BddManager:
         convention used when completing an error-trace witness (don't
         care bits are reported as zero, like the paper's resimulation).
         """
+        core = self._core
         while f > TRUE:
-            if assignment.get(self._level[f], False):
-                f = self._high[f]
+            if assignment.get(core.level(f), False):
+                f = core.high(f)
             else:
-                f = self._low[f]
+                f = core.low(f)
         return f == TRUE
 
     def sat_one(self, f: int) -> Optional[Dict[int, bool]]:
@@ -727,14 +520,16 @@ class BddManager:
         """
         if f == FALSE:
             return None
+        core = self._core
         cube: Dict[int, bool] = {}
         while f > TRUE:
-            if self._high[f] != FALSE:
-                cube[self._level[f]] = True
-                f = self._high[f]
+            high = core.high(f)
+            if high != FALSE:
+                cube[core.level(f)] = True
+                f = high
             else:
-                cube[self._level[f]] = False
-                f = self._low[f]
+                cube[core.level(f)] = False
+                f = core.low(f)
         return cube
 
     def sat_count(self, f: int, nvars: Optional[int] = None) -> int:
@@ -749,9 +544,10 @@ class BddManager:
         if f == TRUE:
             return 1 << nvars
         memo: Dict[int, int] = {}
+        core = self._core
 
         def eff_level(node: int) -> int:
-            return nvars if node <= TRUE else self._level[node]
+            return nvars if node <= TRUE else core.level(node)
 
         def count(node: int) -> int:
             # Satisfying assignments over the variables in
@@ -762,8 +558,8 @@ class BddManager:
                 return 1
             cached = memo.get(node)
             if cached is None:
-                level = self._level[node]
-                low, high = self._low[node], self._high[node]
+                level = core.level(node)
+                low, high = core.low(node), core.high(node)
                 cached = count(low) * (1 << (eff_level(low) - level - 1)) + count(
                     high
                 ) * (1 << (eff_level(high) - level - 1))
@@ -771,7 +567,7 @@ class BddManager:
             return cached
 
         # Variables ordered above the root are free choices.
-        return count(f) * (1 << self._level[f])
+        return count(f) * (1 << core.level(f))
 
     def all_sat(self, f: int, levels: Optional[Sequence[int]] = None) -> Iterator[Dict[int, bool]]:
         """Yield every satisfying assignment of ``f``.
@@ -809,15 +605,17 @@ class BddManager:
         if f == TRUE:
             yield dict(cube)
             return
-        level = self._level[f]
+        core = self._core
+        level = core.level(f)
         cube[level] = False
-        yield from self._all_paths(self._low[f], cube)
+        yield from self._all_paths(core.low(f), cube)
         cube[level] = True
-        yield from self._all_paths(self._high[f], cube)
+        yield from self._all_paths(core.high(f), cube)
         del cube[level]
 
     def support(self, f: int) -> Set[int]:
         """Set of variable levels ``f`` depends on."""
+        core = self._core
         seen: Set[int] = set()
         support: Set[int] = set()
         stack = [f]
@@ -826,9 +624,9 @@ class BddManager:
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            support.add(self._level[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
+            support.add(core.level(node))
+            stack.append(core.low(node))
+            stack.append(core.high(node))
         return support
 
     # ------------------------------------------------------------------
@@ -837,6 +635,7 @@ class BddManager:
 
     def node_count(self, f: int) -> int:
         """Number of internal nodes in ``f`` (terminals excluded)."""
+        core = self._core
         seen: Set[int] = set()
         stack = [f]
         while stack:
@@ -844,8 +643,8 @@ class BddManager:
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
+            stack.append(core.low(node))
+            stack.append(core.high(node))
         return len(seen)
 
     @property
@@ -855,46 +654,52 @@ class BddManager:
         Between collections this grows append-only; :meth:`collect`
         compacts it back down to the live count.
         """
-        return len(self._level) - 2
+        return self._core.size() - 2
 
     @property
     def peak_nodes(self) -> int:
         """High-water mark of the arena across collections."""
-        current = len(self._level) - 2
+        current = self._core.size() - 2
         return self._peak if self._peak > current else current
+
+    def _counters(self) -> Dict[str, int]:
+        """The core's cache hit/miss counters by name.
+
+        A miss is counted once per computed-table entry stored (a not
+        miss stores the complement pair); hits are counted only on the
+        cache fast path, and terminal shortcuts that never consult a
+        cache are counted by neither side.  Dropping the caches (GC,
+        reorder, :meth:`clear_caches`) keeps the counts.
+        """
+        return dict(zip(COUNTERS, self._core.counters()))
 
     @property
     def ite_cache_hits(self) -> int:
-        return self._ite_hits
+        return self._counters()["ite_hits"]
 
     @property
     def ite_cache_misses(self) -> int:
-        # Every miss stores exactly one computed-table entry, so the
-        # count falls out of the table length — no hot-path counter.
-        return self._ite_miss_base + len(self._ite_cache)
+        return self._counters()["ite_misses"]
 
     @property
     def not_cache_hits(self) -> int:
-        return self._not_hits
+        return self._counters()["not_hits"]
 
     @property
     def not_cache_misses(self) -> int:
-        # Each miss inserts a complement *pair* (f -> r and r -> f);
-        # neither key can pre-exist (a present r -> f implies f -> r
-        # was inserted alongside it, which would have been a hit).
-        return self._not_miss_base + len(self._not_cache) // 2
+        return self._counters()["not_misses"]
 
     @property
     def apply_cache_hits(self) -> int:
         """Hits across the specialized and/or/xor apply caches."""
-        return self._and_hits + self._or_hits + self._xor_hits
+        c = self._counters()
+        return c["and_hits"] + c["or_hits"] + c["xor_hits"]
 
     @property
     def apply_cache_misses(self) -> int:
         """Misses across the specialized and/or/xor apply caches."""
-        return (self._and_miss_base + len(self._and_cache)
-                + self._or_miss_base + len(self._or_cache)
-                + self._xor_miss_base + len(self._xor_cache))
+        c = self._counters()
+        return c["and_misses"] + c["or_misses"] + c["xor_misses"]
 
     @property
     def fastpath_word_ops(self) -> int:
@@ -911,27 +716,30 @@ class BddManager:
         """Operators that fell through to the per-bit BDD path."""
         return self._fp_sym
 
-    def cache_stats(self) -> Dict[str, float]:
+    def cache_stats(self) -> Dict[str, object]:
         """Cache/arena counters as a flat dict (repro.obs schema).
 
         Hit rates are fractions in [0, 1]; ``nodes``/``peak_nodes``
-        count internal nodes (terminals excluded).
+        count internal nodes (terminals excluded); ``kernel`` names the
+        core (``c`` or ``python``).
         """
-        ite_misses = self.ite_cache_misses
-        not_misses = self.not_cache_misses
-        apply_hits = self.apply_cache_hits
-        apply_misses = self.apply_cache_misses
-        ite_total = self._ite_hits + ite_misses
-        not_total = self._not_hits + not_misses
+        c = self._counters()
+        ite_hits, ite_misses = c["ite_hits"], c["ite_misses"]
+        not_hits, not_misses = c["not_hits"], c["not_misses"]
+        apply_hits = c["and_hits"] + c["or_hits"] + c["xor_hits"]
+        apply_misses = c["and_misses"] + c["or_misses"] + c["xor_misses"]
+        ite_total = ite_hits + ite_misses
+        not_total = not_hits + not_misses
         apply_total = apply_hits + apply_misses
         fp_total = self._fp_word + self._fp_sym
         return {
-            "ite_hits": self._ite_hits,
+            "kernel": self._core.kind,
+            "ite_hits": ite_hits,
             "ite_misses": ite_misses,
-            "ite_hit_rate": self._ite_hits / ite_total if ite_total else 0.0,
-            "not_hits": self._not_hits,
+            "ite_hit_rate": ite_hits / ite_total if ite_total else 0.0,
+            "not_hits": not_hits,
             "not_misses": not_misses,
-            "not_hit_rate": self._not_hits / not_total if not_total else 0.0,
+            "not_hit_rate": not_hits / not_total if not_total else 0.0,
             "apply_hits": apply_hits,
             "apply_misses": apply_misses,
             "apply_hit_rate": apply_hits / apply_total if apply_total else 0.0,
@@ -968,11 +776,11 @@ class BddManager:
             ("bdd.vars", "BDD variables created",
              lambda: self.var_count),
             ("bdd.ite_cache.hits", "ite computed-table hits",
-             lambda: self._ite_hits),
+             lambda: self.ite_cache_hits),
             ("bdd.ite_cache.misses", "ite computed-table misses",
              lambda: self.ite_cache_misses),
             ("bdd.not_cache.hits", "not cache hits",
-             lambda: self._not_hits),
+             lambda: self.not_cache_hits),
             ("bdd.not_cache.misses", "not cache misses",
              lambda: self.not_cache_misses),
             ("bdd.apply.hits", "and/or/xor apply-cache hits",
@@ -980,17 +788,17 @@ class BddManager:
             ("bdd.apply.misses", "and/or/xor apply-cache misses",
              lambda: self.apply_cache_misses),
             ("bdd.apply.and.hits", "and apply-cache hits",
-             lambda: self._and_hits),
+             lambda: self._counters()["and_hits"]),
             ("bdd.apply.and.misses", "and apply-cache misses",
-             lambda: self._and_miss_base + len(self._and_cache)),
+             lambda: self._counters()["and_misses"]),
             ("bdd.apply.or.hits", "or apply-cache hits",
-             lambda: self._or_hits),
+             lambda: self._counters()["or_hits"]),
             ("bdd.apply.or.misses", "or apply-cache misses",
-             lambda: self._or_miss_base + len(self._or_cache)),
+             lambda: self._counters()["or_misses"]),
             ("bdd.apply.xor.hits", "xor apply-cache hits",
-             lambda: self._xor_hits),
+             lambda: self._counters()["xor_hits"]),
             ("bdd.apply.xor.misses", "xor apply-cache misses",
-             lambda: self._xor_miss_base + len(self._xor_cache)),
+             lambda: self._counters()["xor_misses"]),
             ("bdd.gc.runs", "mark-and-sweep collections",
              lambda: self._gc_runs),
             ("bdd.gc.reclaimed_nodes", "dead nodes reclaimed by GC",
@@ -1010,6 +818,9 @@ class BddManager:
         )
         for name, help_, fn in pairs:
             registry.gauge(name, help_).set_function(fn)
+        registry.gauge("bdd.kernel", "BDD core running this manager "
+                       "(1 for the named core)", labels=("core",)).labels(
+            core=self._core.kind).set(1)
 
     def instrument_latency(self, registry, sample_every: int = 64) -> None:
         """Record per-operation latency histograms (opt-in, sampled).
@@ -1056,27 +867,9 @@ class BddManager:
             orig = getattr(BddManager, attr).__get__(self)
             setattr(self, attr, timed(orig, hist.labels(op=name)))
 
-    def _drop_op_caches(self) -> None:
-        """Drop every computed table, folding lengths into miss bases.
-
-        Node ids are about to be (or may already be) invalidated by the
-        caller — GC compaction, reordering, or a checkpoint restore —
-        so cached entries keyed on old ids must not survive.
-        """
-        self._ite_miss_base += len(self._ite_cache)
-        self._not_miss_base += len(self._not_cache) // 2
-        self._and_miss_base += len(self._and_cache)
-        self._or_miss_base += len(self._or_cache)
-        self._xor_miss_base += len(self._xor_cache)
-        self._ite_cache = {}
-        self._not_cache = {}
-        self._and_cache = {}
-        self._or_cache = {}
-        self._xor_cache = {}
-
     def clear_caches(self) -> None:
         """Drop the operator caches (the unique table is kept)."""
-        self._drop_op_caches()
+        self._core.clear_caches()
 
     def to_expr(self, f: int) -> str:
         """Render ``f`` as a nested ``ite(...)`` string for debugging."""
@@ -1084,9 +877,10 @@ class BddManager:
             return "0"
         if f == TRUE:
             return "1"
-        name = self._var_names[self._level[f]]
-        low = self.to_expr(self._low[f])
-        high = self.to_expr(self._high[f])
+        core = self._core
+        name = self._var_names[core.level(f)]
+        low = self.to_expr(core.low(f))
+        high = self.to_expr(core.high(f))
         if low == "0" and high == "1":
             return name
         if low == "1" and high == "0":
@@ -1118,14 +912,15 @@ class BddManager:
         for old_level in order:
             new_var_bdd[old_level] = new.new_var(self._var_names[old_level])
         memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        core = self._core
 
         def translate(node: int) -> int:
             cached = memo.get(node)
             if cached is not None:
                 return cached
-            low = translate(self._low[node])
-            high = translate(self._high[node])
-            result = new.ite(new_var_bdd[self._level[node]], high, low)
+            low = translate(core.low(node))
+            high = translate(core.high(node))
+            result = new.ite(new_var_bdd[core.level(node)], high, low)
             memo[node] = result
             return result
 
@@ -1182,12 +977,10 @@ class BddManager:
         number of nodes reclaimed.
         """
         started = _time.perf_counter()
-        size = len(self._level)
+        levels, lows, highs = self._core.export()
+        size = len(levels)
         if size - 2 > self._peak:
             self._peak = size - 2
-        lows = self._low
-        highs = self._high
-        levels = self._level
         marked = bytearray(size)
         marked[FALSE] = marked[TRUE] = 1
         stack: List[int] = []
@@ -1221,14 +1014,9 @@ class BddManager:
         del levels[write:]
         del lows[write:]
         del highs[write:]
-        self._unique = {
-            (levels[node], lows[node], highs[node]): node
-            for node in range(2, write)
-        }
-        # The computed tables are keyed by old ids; fold their lengths
-        # into the miss bases (same bookkeeping as clear_caches) so the
-        # derived miss counters stay monotonic.
-        self._drop_op_caches()
+        # Loading rebuilds the unique table and drops the computed
+        # tables, which are keyed by old ids (the counters stay).
+        self._core.load(levels, lows, highs)
         self._var_bdds = [node_map[node] for node in self._var_bdds]
         for handle in handles:
             handle.node = node_map[handle.node]
@@ -1246,7 +1034,7 @@ class BddManager:
         """True when the arena grew ``gc_threshold`` nodes since last GC."""
         threshold = self.gc_threshold
         return (threshold is not None
-                and len(self._level) - 2 - self._last_gc_size >= threshold)
+                and self._core.size() - 2 - self._last_gc_size >= threshold)
 
     def maybe_collect(self) -> int:
         """Collect iff :meth:`gc_due`; a no-op with the default config.
@@ -1275,7 +1063,7 @@ class BddManager:
                 f"order must be a permutation of range({self.var_count})"
             )
         started = _time.perf_counter()
-        before = len(self._level) - 2
+        before = self._core.size() - 2
         if before > self._peak:
             self._peak = before
         # Translation runs ite() on a scratch manager; its recursion is
@@ -1291,9 +1079,7 @@ class BddManager:
         for pos, old_level in enumerate(order):
             var_bdd[old_level] = scratch.new_var(self._var_names[old_level])
             level_map[old_level] = pos
-        levels = self._level
-        lows = self._low
-        highs = self._high
+        levels, lows, highs = self._core.export()
         memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
         handles = list(self._handles)
         roots = list(self._iter_roots())
@@ -1330,16 +1116,13 @@ class BddManager:
         scratch.register_root_provider(pin)
         scratch.collect()
         root_map = pin.memo
-        # Adopt the scratch arena wholesale.  The old computed tables
-        # are keyed by dead ids; their lengths fold into the miss bases
-        # to keep the derived counters monotonic (translation work in
-        # the scratch manager is maintenance, not workload — its own
-        # counters are deliberately dropped).
-        self._level = scratch._level
-        self._low = scratch._low
-        self._high = scratch._high
-        self._unique = scratch._unique
-        self._drop_op_caches()
+        # Adopt the scratch core wholesale (its computed tables were
+        # dropped by the collect above).  This manager's counters carry
+        # over: translation work in the scratch manager is maintenance,
+        # not workload, so the scratch counters are deliberately dropped.
+        counters = self._core.counters()
+        self._core = scratch._core
+        self._core.set_counters(counters)
         self._var_names = [self._var_names[old] for old in order]
         self._var_bdds = scratch._var_bdds
         for handle in handles:
@@ -1351,7 +1134,7 @@ class BddManager:
             level_map[level]: chosen
             for level, chosen in self._concretized.items()
         }
-        self._last_gc_size = len(self._level) - 2
+        self._last_gc_size = self._core.size() - 2
         self._reorder_runs += 1
         self._reorder_seconds += _time.perf_counter() - started
 
@@ -1369,7 +1152,7 @@ class BddManager:
         """
         started = _time.perf_counter()
         self.collect()
-        before = len(self._level) - 2
+        before = self._core.size() - 2
         saved = 0
         if self.var_count >= 2 and before > 0:
             space = _SiftSpace(self)
@@ -1378,12 +1161,12 @@ class BddManager:
             self._reorder_seconds += _time.perf_counter() - started
             if space.order != list(range(self.var_count)):
                 self.reorder(space.order)  # adds its own time share
-            saved = before - (len(self._level) - 2)
+            saved = before - (self._core.size() - 2)
             if saved > 0:
                 self._reorder_saved += saved
         else:
             self._reorder_seconds += _time.perf_counter() - started
-        live = len(self._level) - 2
+        live = self._core.size() - 2
         self._next_sift_at = int(live * self.reorder_growth)
         return saved
 
@@ -1394,7 +1177,7 @@ class BddManager:
         trigger = self._next_sift_at
         if trigger < self.sift_threshold:
             trigger = self.sift_threshold
-        return len(self._level) - 2 >= trigger
+        return self._core.size() - 2 >= trigger
 
     def maybe_sift(self) -> int:
         """Sift iff :meth:`sift_due`.
@@ -1434,11 +1217,11 @@ class BddManager:
             if restricted > TRUE and restricted not in seen:
                 seen.add(restricted)
                 stack.append(restricted)
-        lows = self._low
-        highs = self._high
+        low = self._core.low
+        high = self._core.high
         while stack:
             node = stack.pop()
-            for child in (lows[node], highs[node]):
+            for child in (low(node), high(node)):
                 if child > TRUE and child not in seen:
                     seen.add(child)
                     stack.append(child)
@@ -1500,8 +1283,73 @@ class BddManager:
 
     def check_node(self, f: int) -> None:
         """Validate that ``f`` is a node of this manager (for API misuse)."""
-        if not isinstance(f, int) or f < 0 or f >= len(self._level):
+        if not isinstance(f, int) or f < 0 or f >= self._core.size():
             raise BddError(f"not a node of this manager: {f!r}")
+
+    # ------------------------------------------------------------------
+    # arena images, per-level sizes, fault injection
+    # ------------------------------------------------------------------
+
+    def level_sizes(self) -> List[int]:
+        """Arena nodes per variable level (index = level).
+
+        Dead nodes count until the next :meth:`collect` reclaims them.
+        """
+        sizes = [0] * self.var_count
+        levels = self._core.export()[0]
+        for node in range(2, len(levels)):
+            sizes[levels[node]] += 1
+        return sizes
+
+    def inject_dead_nodes(self, count: int) -> None:
+        """Append ``count`` unreachable nodes to the arena (fault injection).
+
+        The rows have an internal node's shape but no unique-table
+        entry and no parent, so they only inflate the arena the way a
+        runaway operator would; the next :meth:`collect` reclaims them.
+        """
+        level = max(0, self.var_count - 1)
+        self._core.append_raw(level, FALSE, TRUE, count)
+
+    def snapshot(self) -> Dict[str, object]:
+        """The arena and the manager's bookkeeping, as builtins.
+
+        This is the ``mgr`` image of a ``REPROCKPT`` v1 checkpoint:
+        node ids held anywhere stay valid in a manager that
+        :meth:`restore` s it.
+        """
+        levels, lows, highs = self._core.export()
+        return {
+            "level": levels,
+            "low": lows,
+            "high": highs,
+            "var_names": list(self._var_names),
+            "var_bdds": list(self._var_bdds),
+            "concretized": dict(self._concretized),
+            "last_gc_size": self._last_gc_size,
+            "next_sift_at": self._next_sift_at,
+            "peak": self._peak,
+        }
+
+    def restore(self, image: Dict[str, object]) -> None:
+        """Replace this manager's arena and bookkeeping with ``image``.
+
+        ``image`` comes from :meth:`snapshot`.  The computed tables
+        start empty and every cache and fast-path counter restarts
+        from zero.  Raises :class:`BddError` for an arena whose rows
+        are malformed (native core).
+        """
+        self._core.load(list(image["level"]), list(image["low"]),
+                        list(image["high"]))
+        self._core.set_counters([0] * len(COUNTERS))
+        self._fp_word = self._fp_bits = self._fp_sym = 0
+        self._var_names = list(image["var_names"])
+        self._var_bdds = list(image["var_bdds"])
+        self._concretized = {int(level): bool(value)
+                             for level, value in image["concretized"].items()}
+        self._last_gc_size = image["last_gc_size"]
+        self._next_sift_at = image["next_sift_at"]
+        self._peak = image["peak"]
 
 
 class _ReorderPin:
@@ -1540,9 +1388,7 @@ class _SiftSpace:
     """
 
     def __init__(self, mgr: BddManager) -> None:
-        self.level = list(mgr._level)
-        self.low = list(mgr._low)
-        self.high = list(mgr._high)
+        self.level, self.low, self.high = mgr._core.export()
         size = len(self.level)
         self.nvars = mgr.var_count
         self.order = list(range(self.nvars))     # position -> orig level

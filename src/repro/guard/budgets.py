@@ -284,9 +284,7 @@ class Guard:
             return False
         # One arena pass: live nodes per variable level (arena was just
         # compacted by the GC rung, so every slot >= 2 is live).
-        weight = [0] * mgr.var_count
-        for node in range(2, len(mgr._level)):
-            weight[mgr._level[node]] += 1
+        weight = mgr.level_sizes()
         level = max(candidates, key=lambda lvl: (weight[lvl], -lvl))
         name = mgr.var_name(level)
         started = _time.perf_counter()

@@ -51,7 +51,7 @@ from repro.compile.compiler import Program
 from repro.compile.instructions import (
     AccumulationMode, NbaUpdate, WaitCond, WaitEvent,
 )
-from repro.errors import CheckpointError
+from repro.errors import BddError, CheckpointError
 from repro.fourval import FourVec
 
 MAGIC = b"REPROCKPT 1\n"
@@ -221,17 +221,7 @@ def _collect_payload(kern) -> Dict[str, Any]:
     }
     stats = kern.stats
     payload: Dict[str, Any] = {
-        "mgr": {
-            "level": list(mgr._level),
-            "low": list(mgr._low),
-            "high": list(mgr._high),
-            "var_names": list(mgr._var_names),
-            "var_bdds": list(mgr._var_bdds),
-            "concretized": dict(mgr._concretized),
-            "last_gc_size": mgr._last_gc_size,
-            "next_sift_at": mgr._next_sift_at,
-            "peak": mgr._peak,
-        },
+        "mgr": mgr.snapshot(),
         "now": kern.now,
         "finished": kern.finished,
         "stopped": kern.stopped,
@@ -474,7 +464,8 @@ def load_checkpoint(program: Program, path: str, options=None):
                         Violation)
     except CheckpointError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError, BddError) as exc:
         raise CheckpointError(f"{path}: malformed payload: {exc!r}")
 
 
@@ -485,31 +476,7 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
     mgr = kern.mgr
 
     # -- arena image (verbatim: node ids in the payload index into it) --
-    image = payload["mgr"]
-    mgr._level = list(image["level"])
-    mgr._low = list(image["low"])
-    mgr._high = list(image["high"])
-    mgr._unique = {
-        (mgr._level[node], mgr._low[node], mgr._high[node]): node
-        for node in range(2, len(mgr._level))
-    }
-    mgr._ite_cache = {}
-    mgr._not_cache = {}
-    mgr._and_cache = {}
-    mgr._or_cache = {}
-    mgr._xor_cache = {}
-    mgr._ite_hits = mgr._not_hits = 0
-    mgr._ite_miss_base = mgr._not_miss_base = 0
-    mgr._and_hits = mgr._or_hits = mgr._xor_hits = 0
-    mgr._and_miss_base = mgr._or_miss_base = mgr._xor_miss_base = 0
-    mgr._fp_word = mgr._fp_bits = mgr._fp_sym = 0
-    mgr._var_names = list(image["var_names"])
-    mgr._var_bdds = list(image["var_bdds"])
-    mgr._concretized = {int(k): bool(v)
-                        for k, v in image["concretized"].items()}
-    mgr._last_gc_size = image["last_gc_size"]
-    mgr._next_sift_at = image["next_sift_at"]
-    mgr._peak = image["peak"]
+    mgr.restore(payload["mgr"])
 
     # -- kernel scalars --
     kern._started = True

@@ -105,13 +105,8 @@ class FaultInjector:
 
     def _fire(self, fault: Fault, guard, kern) -> None:
         if fault.kind == "arena-blowup":
-            mgr = kern.mgr
             # Junk rows: internal-node shape, reachable from nothing.
-            level = max(0, mgr.var_count - 1)
-            for _ in range(fault.magnitude):
-                mgr._level.append(level)
-                mgr._low.append(0)
-                mgr._high.append(1)
+            kern.mgr.inject_dead_nodes(fault.magnitude)
         elif fault.kind == "clock-skew":
             if guard._deadline is not None:
                 guard._deadline -= fault.magnitude

@@ -217,7 +217,8 @@ def _format_bdd_line(bdd: dict) -> str:
         return f"{100.0 * hits / total:.1f}%" if total else "n/a"
 
     line = (
-        f"bdd: ite-cache hit-rate {rate(ite_h, ite_m)} "
+        f"bdd: kernel={bdd.get('kernel', '?')}, "
+        f"ite-cache hit-rate {rate(ite_h, ite_m)} "
         f"({ite_h}/{ite_h + ite_m}), apply-cache {rate(apply_h, apply_m)}, "
         f"not-cache {rate(not_h, not_m)}, "
         f"nodes={bdd.get('nodes', 0)} (peak {bdd.get('peak_nodes', 0)}), "

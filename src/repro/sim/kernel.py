@@ -781,7 +781,7 @@ class Kernel:
             # first NBA update of this time step — region transition
             self._last_nba_flush = self.now
             tracer.instant("nba-flush", "sched", sim_time=self.now)
-        nodes_before = len(self.mgr._level)
+        nodes_before = self.mgr.total_nodes
         insns_before = self.stats.instructions
         started = _time.perf_counter()
         try:
@@ -793,7 +793,7 @@ class Kernel:
                 # Under the compiled tier the per-site instruction
                 # counts come from record_block attribution instead.
                 profiler.record_pop(
-                    event, elapsed, len(self.mgr._level) - nodes_before,
+                    event, elapsed, self.mgr.total_nodes - nodes_before,
                     0 if self._ctables is not None
                     else self.stats.instructions - insns_before,
                 )

@@ -65,7 +65,8 @@ class SimStats:
                 return f"{100.0 * hits / total:.1f}%" if total else "n/a"
 
             text += (
-                f"; bdd: nodes={int(self.bdd['nodes'])} "
+                f"; bdd: kernel={self.bdd.get('kernel', '?')}, "
+                f"nodes={int(self.bdd['nodes'])} "
                 f"(peak {int(self.bdd['peak_nodes'])}), "
                 f"vars={int(self.bdd['var_count'])}, "
                 f"ite-cache {pct(self.bdd['ite_hits'], ite_total)} hit, "

@@ -7,6 +7,10 @@ from __future__ import annotations
 
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -535,3 +539,76 @@ class TestCli:
         assert main(["batch", bad, "--quiet", "--no-trace",
                      "--out-dir", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# controller death: orphaned workers exit
+
+#: A controller that reports its worker pids at the first result, then
+#: blocks inside ``on_result`` until it is killed.
+_HELD_CONTROLLER = """
+import json, multiprocessing, sys, time
+from repro.batch import RunRequest, run_batch
+
+SOURCE = sys.stdin.read()
+
+def hold(outcome):
+    pids = sorted(p.pid for p in multiprocessing.active_children())
+    print(json.dumps(pids), flush=True)
+    time.sleep(600)
+
+run_batch([RunRequest(name=f"r{i}", source=SOURCE) for i in range(8)],
+          workers=2, out_dir=sys.argv[1], trace=False, journal=False,
+          heartbeat_every=None, on_result=hold)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process state from /proc")
+class TestControllerDeath:
+    def test_workers_exit_after_controller_sigkill(self, tmp_path):
+        """``kill -9`` of a ``run_batch`` controller leaves no worker
+        behind: each notices through its parent's sentinel."""
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        controller = subprocess.Popen(
+            [sys.executable, "-c", _HELD_CONTROLLER, str(tmp_path / "out")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            text=True)
+        workers = []
+        try:
+            controller.stdin.write(COUNTER)
+            controller.stdin.close()
+            ready, _, _ = select.select([controller.stdout], [], [], 60)
+            assert ready, "controller never reported its workers"
+            workers = json.loads(controller.stdout.readline())
+            assert len(workers) == 2
+            assert controller.poll() is None
+            controller.kill()
+            controller.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if controller.poll() is None:
+                controller.kill()
+                controller.wait(timeout=10)
+            controller.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -209,6 +209,26 @@ class TestCliSurface:
         assert "metrics snapshot" in out
         assert "sim.events_processed" in out
 
+    def test_kernel_is_reported(self, tmp_path, capsys):
+        """Which BDD core ran shows in the result metrics, the profile
+        report and the metrics report (``bdd.kernel``)."""
+        from repro.bdd import _kernel
+
+        kind = _kernel.status()[0]
+        design = self.write_design(tmp_path)
+        with open(design, encoding="utf-8") as handle:
+            sim = repro.open_sim(handle.read())
+        assert sim.run().metrics()["bdd"]["kernel"] == kind
+        profile = tmp_path / "p.json"
+        metrics = tmp_path / "m.json"
+        assert cli_main([design, "--quiet", "--profile-out", str(profile),
+                         "--metrics-out", str(metrics)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(profile)]) == 0
+        assert f"bdd: kernel={kind}," in capsys.readouterr().out
+        assert cli_main(["report", str(metrics)]) == 0
+        assert f"bdd.kernel{{core={kind}}}" in capsys.readouterr().out
+
     def test_profile_prints_inline(self, tmp_path, capsys):
         design = self.write_design(tmp_path)
         assert cli_main([design, "--quiet", "--profile",

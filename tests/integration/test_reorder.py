@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.errors import BddError
+from tests.bdd_cores import reference_core
 from tests.conftest import run_source
 
 SRC = """
@@ -120,3 +121,7 @@ class TestReorderMidRun:
         sim.kernel.reorder([1, 0])
         result = sim.run()
         assert not result.violations
+
+
+# The same tests on the pure-Python reference core.
+TestReorderMidRunReferenceCore = reference_core(TestReorderMidRun)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import BddError
+from tests.bdd_cores import reference_core
 
 
 @pytest.fixture
@@ -252,3 +253,10 @@ class TestIntrospection:
         before = m.total_nodes
         m.and_(a, m.or_(b, c))
         assert m.total_nodes > before
+
+
+# The same tests on the pure-Python reference core.
+TestBasicsReferenceCore = reference_core(TestBasics)
+TestEvaluationReferenceCore = reference_core(TestEvaluation)
+TestStructuralOpsReferenceCore = reference_core(TestStructuralOps)
+TestIntrospectionReferenceCore = reference_core(TestIntrospection)

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.bdd import FALSE, TRUE, BddManager
+from tests.bdd_cores import reference_core
 
 
 @pytest.fixture
@@ -240,3 +241,10 @@ class TestApplyCaches:
         # Caches were rebuilt: new applies still canonical.
         f, g = keep[0][0].node, keep[1][0].node
         assert m.and_(f, g) == m.ite(f, g, FALSE)
+
+
+# The same tests on the pure-Python reference core.
+TestApplySemanticsReferenceCore = reference_core(TestApplySemantics)
+TestIterativeDepthReferenceCore = reference_core(TestIterativeDepth)
+TestBalancedReduceReferenceCore = reference_core(TestBalancedReduce)
+TestApplyCachesReferenceCore = reference_core(TestApplyCaches)

@@ -12,6 +12,7 @@ import pytest
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import BddError
 from repro.obs.metrics import MetricsRegistry
+from tests.bdd_cores import reference_core
 
 
 def fresh(nvars=4):
@@ -289,3 +290,12 @@ class TestSifting:
         mgr.sift()
         assert mgr.total_nodes <= before
         assert truth_table(mgr, ref.deref(), 4)[0b1111] is True
+
+
+# The same tests on the pure-Python reference core.
+TestCollectReferenceCore = reference_core(TestCollect)
+TestRootProvidersReferenceCore = reference_core(TestRootProviders)
+TestThresholdsReferenceCore = reference_core(TestThresholds)
+TestInPlaceReorderReferenceCore = reference_core(TestInPlaceReorder)
+TestQueryRegressionReferenceCore = reference_core(TestQueryRegression)
+TestSiftingReferenceCore = reference_core(TestSifting)

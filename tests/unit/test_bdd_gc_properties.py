@@ -24,6 +24,7 @@ import random
 import pytest
 
 from repro.bdd import FALSE, TRUE, BddManager
+from tests.bdd_cores import reference_core
 
 N_VARS = 5
 N_ASSIGN = 1 << N_VARS
@@ -271,3 +272,8 @@ class TestScaledSweep:
             churn(mgr, rng, case)
             for ref, pinned_mask in pinned:
                 assert table_of(mgr, ref.deref()) == pinned_mask
+
+
+# The same tests on the pure-Python reference core.
+TestOperatorPropertiesReferenceCore = reference_core(TestOperatorProperties)
+TestScaledSweepReferenceCore = reference_core(TestScaledSweep)

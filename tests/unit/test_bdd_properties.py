@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager
+from tests.bdd_cores import reference_core
 
 N_VARS = 4
 
@@ -155,3 +156,20 @@ def test_exists_forall_duality(plan, levels):
     assert fa == m.not_(m.exists(m.not_(f), levels))
     # forall implies exists
     assert m.implies(fa, ex) == TRUE
+
+
+class _Properties:
+    """The module's properties, gathered for :func:`reference_core`."""
+
+    test_bdd_matches_truth_table = staticmethod(test_bdd_matches_truth_table)
+    test_canonicity = staticmethod(test_canonicity)
+    test_sat_count_matches_truth_table = staticmethod(
+        test_sat_count_matches_truth_table)
+    test_sat_one_is_satisfying = staticmethod(test_sat_one_is_satisfying)
+    test_restrict_is_cofactor = staticmethod(test_restrict_is_cofactor)
+    test_compose_semantics = staticmethod(test_compose_semantics)
+    test_exists_forall_duality = staticmethod(test_exists_forall_duality)
+
+
+# The same properties on the pure-Python reference core.
+TestPropertiesReferenceCore = reference_core(_Properties)
